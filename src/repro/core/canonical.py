@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat
 from math import factorial
 
 from repro.core.alphabet import CanonicalHash, intern
@@ -80,7 +80,9 @@ class _Incidence:
         interned = intern(problem)
         size = interned.alphabet.size
         self.size = size
-        self.edge_pairs = sorted(interned.edge_pairs)
+        # Unsorted: refinement sorts partner colours and the encoder sorts
+        # pairs, so nothing downstream depends on this order.
+        self.edge_pairs = interned.edge_pairs
         self.node_configs = interned.node_configs
         # edge_partners[i]: the partner index of each edge pair containing i
         # (one entry per pair; a self-loop (i, i) contributes i once).
@@ -125,13 +127,13 @@ def _refine(incidence: _Incidence) -> list[int]:
 
     while True:
         # One colored profile per configuration, shared by all its labels.
+        color_of = color.__getitem__
         config_profiles = [
-            tuple(sorted(color[x] for x in config))
-            for config in incidence.node_configs
+            tuple(sorted(map(color_of, config))) for config in incidence.node_configs
         ]
         signatures = []
         for i in range(incidence.size):
-            edge_profile = sorted(color[partner] for partner in incidence.edge_partners[i])
+            edge_profile = sorted(map(color_of, incidence.edge_partners[i]))
             node_profile = sorted(
                 (count, config_profiles[config_index])
                 for config_index, count in incidence.node_occurrences[i]
@@ -148,15 +150,18 @@ def _encode_positions(
     incidence: _Incidence, position: list[int]
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
     """Constraint encoding under an old-index -> position assignment."""
-    edges = sorted(
-        (position[a], position[b])
-        if position[a] <= position[b]
-        else (position[b], position[a])
-        for a, b in incidence.edge_pairs
-    )
+    # Pairs sort as integer codes ``low * size + high`` (the same order as
+    # the tuples, much cheaper to sort) and are decoded afterwards.
+    size = incidence.size
+    codes: list[int] = []
+    for a, b in incidence.edge_pairs:
+        pa, pb = position[a], position[b]
+        codes.append(pa * size + pb if pa <= pb else pb * size + pa)
+    codes.sort()
+    edges = map(divmod, codes, repeat(size))
+    position_of = position.__getitem__
     nodes = sorted(
-        tuple(sorted(position[x] for x in config))
-        for config in incidence.node_configs
+        tuple(sorted(map(position_of, config))) for config in incidence.node_configs
     )
     return (tuple(edges), tuple(nodes))
 

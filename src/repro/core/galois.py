@@ -97,21 +97,28 @@ class Compatibility:
         path has no such guard; it cannot reach this regime in feasible
         time, which is exactly why the search needs the abort.)
 
+        Usability needs no polar per candidate: every member other than the
+        full set is ``comp(X)`` for a non-empty ``X``, and ``X`` is contained
+        in ``comp(comp(X))``, so its polar is non-empty and it is usable iff
+        it is non-empty.  Only the full set needs one polar test.
+
         ``kernel`` selects the evaluation tier: ``"vector"`` (or ``"auto"``
         with numpy usable) batches the pairwise intersections of a whole
         frontier per vector op (:func:`repro.core.vectorkernel.
         closed_masks_vector`); the result, including every limit trip point,
         is identical to the scalar fold.
         """
+        full = self._full_mask
+        full_usable = self._full_set_usable()
         if resolve_kernel(kernel) == "vector" and get_numpy() is not None:
             return frozenset(
                 LabelMask(mask)
                 for mask in closed_masks_vector(
                     [int(mask) for mask in self._adjacency],
-                    int(self._full_mask),
+                    int(full),
                     self._alphabet.size,
                     limit,
-                    lambda mask: bool(mask) and bool(self.polar_mask(LabelMask(mask))),
+                    full_usable,
                 )
             )
 
@@ -125,13 +132,11 @@ class Compatibility:
             )
 
         generators: set[LabelMask] = set(self._adjacency)
-        generators.add(self._full_mask)
+        generators.add(full)
         closed: set[LabelMask] = set(generators)
         usable = 0
         if limit is not None:
-            for mask in closed:
-                if mask and self.polar_mask(mask):
-                    usable += 1
+            usable = sum(1 for mask in closed if mask and (mask != full or full_usable))
             if usable > limit:
                 abort(usable)
         frontier = list(generators)
@@ -142,7 +147,8 @@ class Compatibility:
                 if candidate not in closed:
                     closed.add(candidate)
                     frontier.append(candidate)
-                    if limit is not None and candidate and self.polar_mask(candidate):
+                    # A fresh candidate is never the full set (a generator).
+                    if limit is not None and candidate:
                         usable += 1
                         if usable > limit:
                             abort(usable)
@@ -154,13 +160,17 @@ class Compatibility:
         """Closed masks usable as half-step labels (self and polar non-empty).
 
         ``limit`` bounds the underlying closed-set enumeration and ``kernel``
-        selects its evaluation tier (see :meth:`closed_masks`).
+        selects its evaluation tier; usability is decided in closed form
+        (see :meth:`closed_masks`).
         """
-        return frozenset(
-            candidate
-            for candidate in self.closed_masks(limit=limit, kernel=kernel)
-            if candidate and self.polar_mask(candidate)
-        )
+        unusable = {LabelMask(0)}
+        if not self._full_set_usable():
+            unusable.add(self._full_mask)
+        return self.closed_masks(limit=limit, kernel=kernel) - unusable
+
+    def _full_set_usable(self) -> bool:
+        """Whether the full label set is non-empty with a non-empty polar."""
+        return bool(self._full_mask) and bool(self.polar_mask(self._full_mask))
 
     # -- frozenset surface (the public string-level API) ---------------------
 

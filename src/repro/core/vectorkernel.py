@@ -184,7 +184,7 @@ def closed_masks_vector(
     full_mask: int,
     bit_count: int,
     limit: int | None,
-    is_usable: Callable[[int], bool],
+    full_usable: bool,
     *,
     chunk: int = 256,
 ) -> frozenset[int]:
@@ -196,8 +196,10 @@ def closed_masks_vector(
     frontier expansion the abort fires at exactly ``limit + 1`` usable sets.
     The pairwise intersections are evaluated as a broadcast AND over packed
     rows -- ``chunk`` frontier rows against every generator per step -- with
-    duplicates removed by a row-level unique before the (scalar, memoised)
-    usable test runs on genuinely new sets only.
+    duplicates removed by a unique over the rows' bytes.  Usability is
+    closed-form: a closed set other than the full one is ``comp(X)`` for a
+    non-empty ``X``, and ``X`` lies in ``comp(comp(X))``, so it is usable iff
+    non-empty; ``full_usable`` says whether the full set's polar is non-empty.
     """
     np_ = get_numpy()
     assert np_ is not None
@@ -215,26 +217,26 @@ def closed_masks_vector(
     closed: set[int] = set(generator_set)
     usable = 0
     if limit is not None:
-        for mask in closed:
-            if is_usable(mask):
-                usable += 1
+        usable = sum(1 for mask in closed if mask and (mask != full_mask or full_usable))
         if usable > limit:
             abort(usable)
 
     ordered_generators = sorted(generator_set)
     generator_rows = pack_masks(ordered_generators, bit_count)[None, :, :]
+    row_bytes = np_.dtype((np_.void, generator_rows.shape[-1] * 8))
     frontier = ordered_generators
     while frontier:
         fresh: list[int] = []
         for start in range(0, len(frontier), chunk):
             frontier_rows = pack_masks(frontier[start : start + chunk], bit_count)
             candidates = frontier_rows[:, None, :] & generator_rows
-            candidates = candidates.reshape(-1, candidates.shape[-1])
-            for mask in unpack_masks(np_.unique(candidates, axis=0)):
+            distinct = np_.unique(candidates.reshape(-1).view(row_bytes))
+            for mask in unpack_masks(distinct.view(np_.uint64).reshape(len(distinct), -1)):
                 if mask not in closed:
                     closed.add(mask)
                     fresh.append(mask)
-                    if limit is not None and is_usable(mask):
+                    # A fresh mask is never the full set (a generator).
+                    if limit is not None and mask:
                         usable += 1
                         if usable > limit:
                             abort(limit + 1)

@@ -313,3 +313,36 @@ def test_stream_chunk_never_changes_results(chunk):
     for problem in (catalog()["4-coloring"](2), random_problem(11)):
         expected = result_json(problem, "vector")
         assert result_json(problem, "vector", stream_chunk=chunk) == expected
+
+
+def _reference_closure(generators, full_mask):
+    closed = set(generators) | {full_mask}
+    frontier = list(closed)
+    while frontier:
+        current = frontier.pop()
+        for generator in generators:
+            candidate = current & generator
+            if candidate not in closed:
+                closed.add(candidate)
+                frontier.append(candidate)
+    return frozenset(closed)
+
+
+@needs_numpy
+@pytest.mark.parametrize("bit_count", [63, 64, 65, 130])
+def test_closed_masks_vector_chunking_and_word_boundaries(bit_count):
+    """The byte-row dedupe sees whole rows: masks that differ only across a
+    word boundary stay distinct, and chunking never changes the closure."""
+    rng = random.Random(bit_count)
+    full = (1 << bit_count) - 1
+    generators = [full ^ (rng.getrandbits(bit_count) & rng.getrandbits(bit_count))
+                  for _ in range(7)]
+    # Twins differing only in the top bit or only in bit 63 / bit 64.
+    for bit in {bit_count - 1, 63, 64} & set(range(bit_count)):
+        generators.append(generators[0] ^ (1 << bit))
+    expected = _reference_closure(generators, full)
+    assert len(expected) > 64
+    for chunk in (1, 7, 256):
+        assert vk.closed_masks_vector(
+            generators, full, bit_count, None, False, chunk=chunk
+        ) == expected
