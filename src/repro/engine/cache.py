@@ -27,6 +27,19 @@ renamed twins both ran the full derivation -- the thundering herd that made
 ``speedup_many`` nondeterministic about *which* twin's derivation got
 cached.
 
+Limit trips are memoised too.  The speedup is a fixed procedure on the
+problem description, so whether it exceeds a size limit depends only on the
+problem up to renaming, the simplify mode, and the limits; and no limit
+error mentions a label.  A leader whose derivation raises
+:class:`~repro.core.limits.EngineLimitError` records the trip
+(:meth:`SpeedupCache.store_trip`) under the key plus the limits, and every
+waiter it wakes -- or any later request for a renamed twin under the same
+limits -- gets a fresh error with the leader's message, ``limit_name``,
+``limit`` and ``observed`` instead of re-deriving.  Trips live in memory
+only (never under the cache directory), in an LRU table bounded by the
+same ``maxsize`` as the entries, and :meth:`SpeedupCache.clear` drops
+them.
+
 Keys are computed by the bitmask kernel's canonical-form pass
 (:mod:`repro.core.canonical` over :mod:`repro.core.alphabet`), which is
 byte-compatible with the pre-kernel string path -- existing on-disk caches
@@ -55,6 +68,7 @@ from types import MappingProxyType
 
 from repro.core.alphabet import set_label_name
 from repro.core.canonical import CanonicalForm, canonical_form
+from repro.core.limits import EngineLimitError
 from repro.core.problem import Problem
 from repro.core.speedup import SpeedupResult
 from repro.engine.resilience import LATCH_PROBE_S
@@ -75,6 +89,31 @@ class _InFlight:
     def __init__(self) -> None:
         self.event = threading.Event()
         self.leader = threading.current_thread()
+
+
+#: The derivation limits a trip is keyed under, in the engine's order:
+#: ``(max_derived_labels, max_candidate_configs, max_live_configs)``.
+Limits = tuple[int, ...]
+
+
+class _Trip:
+    """A memoised limit trip: the fields of the leader's error."""
+
+    __slots__ = ("message", "limit_name", "limit", "observed")
+
+    def __init__(self, error: EngineLimitError):
+        self.message = str(error)
+        self.limit_name = error.limit_name
+        self.limit = error.limit
+        self.observed = error.observed
+
+    def replay(self) -> EngineLimitError:
+        return EngineLimitError(
+            self.message,
+            limit_name=self.limit_name,
+            limit=self.limit,
+            observed=self.observed,
+        )
 
 
 class CacheEntry:
@@ -159,7 +198,8 @@ class SpeedupCache:
     ``store`` after computing (so canonicalisation runs once per call).
     ``acquire`` is the single-flight variant the engine's hot path uses: a
     ``None`` result makes the caller the key's leader, obliged to call
-    ``store`` (on success) or ``abandon`` (on failure) so waiters wake.
+    ``store`` (on success), ``store_trip`` (on a limit trip) or ``abandon``
+    (on any other failure) so waiters wake.
     """
 
     def __init__(
@@ -186,6 +226,7 @@ class SpeedupCache:
         self.store_failures = 0
         self.latch_recoveries = 0
         self._inflight: dict[str, _InFlight] = {}
+        self._trips: OrderedDict[tuple[str, Limits], _Trip] = OrderedDict()
         self._recorded: list[tuple[str, CanonicalForm, SpeedupResult]] | None = None
         self._canonical_s = 0.0
         self._lock_wait_s = 0.0
@@ -280,18 +321,26 @@ class SpeedupCache:
         return result, form, key
 
     def acquire(
-        self, problem: Problem, simplify: bool
+        self, problem: Problem, simplify: bool, limits: Limits = ()
     ) -> tuple[SpeedupResult | None, CanonicalForm, str]:
         """Single-flight lookup: miss means *this caller derives*.
 
-        On a hit, behaves like :meth:`lookup`.  On a miss with no derivation
-        of the key in flight, registers the caller as the key's leader
-        (counted as the one true miss) and returns ``None`` -- the caller
-        MUST then call :meth:`store` on success or :meth:`abandon` on
-        failure.  If another caller is already deriving the key, blocks on
-        the in-flight latch (counted as ``coalesced``), then retries: the
-        usual outcome is a translated hit on the leader's stored result; if
+        On a hit, behaves like :meth:`lookup`.  With no entry but a trip
+        recorded for the key under ``limits``, raises the replayed
+        :class:`~repro.core.limits.EngineLimitError` (counted as a hit).
+        On a miss with no derivation of the key in flight, registers the
+        caller as the key's leader (counted as the one true miss) and
+        returns ``None`` -- the caller MUST then call :meth:`store` on
+        success, :meth:`store_trip` on a limit trip, or :meth:`abandon` on
+        any other failure.  If another caller is already deriving the key,
+        blocks on the in-flight latch (counted as ``coalesced``), then
+        retries: the usual outcome is a translated hit on the leader's
+        stored result or a replay of its trip (when the limits match); if
         the leader abandoned, the waiter inherits leadership.
+
+        A stored entry wins over a trip: an engine with larger limits may
+        have derived the key since, and serving that result is what the
+        lookup would do without trip memoisation.
 
         Waiting is crash-safe: a waiter re-probes the latch every
         ``LATCH_PROBE_S`` seconds and, when the leader thread has died
@@ -301,12 +350,18 @@ class SpeedupCache:
         leadership instead of blocking forever.
         """
         form, key = self._canonicalize(problem, simplify)
+        trip_key = (key, limits)
         while True:
             entry = self._entry_for(key)
             wait_on: _InFlight | None = None
             start = time.perf_counter()
             with self._lock:
                 self._lock_wait_s += time.perf_counter() - start
+                trip = None if entry is not None else self._trips.get(trip_key)
+                if trip is not None:
+                    self.hits += 1
+                    self._trips.move_to_end(trip_key)
+                    raise trip.replay()
                 if entry is not None:
                     self.hits += 1
                 else:
@@ -344,13 +399,28 @@ class SpeedupCache:
             flight.event.set()
 
     def abandon(self, key: str) -> None:
-        """Give up leadership of ``key`` (the derivation failed).
+        """Give up leadership of ``key`` (the derivation crashed).
 
-        Waiters wake, find neither an entry nor a flight, and take over as
-        leaders -- for the deterministic failures the engine raises
-        (:class:`~repro.core.limits.EngineLimitError`), each then fails the
-        same way, which is exactly the sequential behaviour.
+        For failures that are not limit trips (crashes, injected faults):
+        waiters wake, find neither an entry nor a flight, and take over as
+        leaders, re-deriving.  A limit trip goes through :meth:`store_trip`
+        instead, so waiters replay it rather than re-derive.
         """
+        self._release(key)
+
+    def store_trip(self, key: str, limits: Limits, error: EngineLimitError) -> None:
+        """Record the leader's limit trip on ``key`` and release its latch.
+
+        Waiters (and later requests for renamed twins) acquiring ``key``
+        under the same ``limits`` then raise a replay of ``error``.  The
+        trip table is LRU-bounded by the cache's ``maxsize``.
+        """
+        with self._lock:
+            trip_key = (key, limits)
+            self._trips.pop(trip_key, None)
+            self._trips[trip_key] = _Trip(error)
+            while len(self._trips) > self._maxsize:
+                self._trips.popitem(last=False)
         self._release(key)
 
     def store(
@@ -396,6 +466,7 @@ class SpeedupCache:
     def clear(self) -> None:
         with self._lock:
             self._memory.clear()
+            self._trips.clear()
             self._total_weight = 0
             self.hits = 0
             self.misses = 0

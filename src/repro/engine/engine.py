@@ -195,7 +195,10 @@ class Engine:
 
         A cache hit fires for any problem identical to a previously derived
         one up to label renaming; the stored result is translated into the
-        request's label space (see :mod:`repro.engine.cache`).
+        request's label space (see :mod:`repro.engine.cache`).  Limit trips
+        are memoised the same way, per key and limits: a renamed twin of a
+        problem that raised :class:`EngineLimitError` under these limits
+        raises an equal error without deriving again.
         """
         cfg = self._config
         use_simplify = cfg.simplify if simplify is None else simplify
@@ -210,9 +213,15 @@ class Engine:
             )
         # Single-flight: a miss makes this call the canonical key's leader
         # (concurrent requests for the same key -- renamed twins included --
-        # block in acquire() and get the stored result), so exactly one
-        # derivation runs per key no matter how many threads race it.
-        cached, form, key = self._cache.acquire(problem, use_simplify)
+        # block in acquire() and get the stored result, or a replay of the
+        # leader's limit trip), so exactly one derivation runs per key and
+        # limits no matter how many threads race it.
+        limits = (
+            cfg.max_derived_labels,
+            cfg.max_candidate_configs,
+            cfg.max_live_configs,
+        )
+        cached, form, key = self._cache.acquire(problem, use_simplify, limits)
         if cached is not None:
             return cached
         try:
@@ -224,10 +233,14 @@ class Engine:
                 max_live_configs=cfg.max_live_configs,
                 kernel=cfg.kernel,
             )
+        except EngineLimitError as error:
+            # A trip is as deterministic as a result: record it so the
+            # waiters and later renamed twins under these limits replay it.
+            self._cache.store_trip(key, limits, error)
+            raise
         except BaseException:
-            # Leadership must not outlive a failed derivation: wake the
-            # waiters so one of them takes over (and fails the same way for
-            # deterministic limit errors).
+            # Leadership must not outlive a crashed derivation: wake the
+            # waiters so one of them takes over and re-derives.
             self._cache.abandon(key)
             raise
         # store() returns the frozen shared copy (read-only meaning maps),

@@ -1,10 +1,14 @@
 """Tests for the unified Engine API: config, cache, batch, streaming."""
 
+import random
+
 import pytest
 
+import repro.engine.engine as engine_module
 from repro.core.isomorphism import are_isomorphic
 from repro.core.speedup import EngineLimitError, compute_speedup
 from repro.engine import Engine, EngineConfig, SpeedupCache, canonical_hash
+from repro.problems.catalog import catalog, get_problem
 from repro.problems.misc import mis
 from repro.problems.sinkless import sinkless_coloring
 
@@ -240,6 +244,211 @@ def test_shared_cache_object_between_engines(sc3):
     a.speedup(sc3)
     b.speedup(sc3)
     assert cache.stats()["hits"] == 1
+
+
+# -- limit-trip memoisation ---------------------------------------------------
+
+# The twin-batch benchmark's limits; every pipeline below runs at most
+# TRIP_STEPS speedups, like that workload.
+TWIN_LIMITS = {"max_derived_labels": 2000, "max_candidate_configs": 50000}
+TRIP_STEPS = 3
+
+# Catalog rows on which the renaming-invariance sweep below takes more than
+# ~0.3 s (deriving or canonicalising the mid-size states); they run under
+# -m slow.
+_SLOW_TRIP_ROWS = {
+    ("3-coloring", 2), ("3-coloring", 3), ("3-coloring", 4), ("4-coloring", 2),
+    ("4-coloring", 3), ("4-coloring", 4), ("4-edge-coloring", 2),
+    ("4-edge-coloring", 3), ("5-coloring", 4), ("6-coloring", 3),
+    ("maximal-matching", 3), ("maximal-matching", 4), ("mis", 2), ("mis", 3),
+    ("mis", 4), ("superweak-2-coloring", 2), ("superweak-2-coloring", 3),
+    ("superweak-2-coloring", 4), ("superweak-3-coloring", 2),
+    ("superweak-3-coloring", 3), ("superweak-3-coloring", 4),
+    ("weak-2-coloring", 2), ("weak-2-coloring", 3), ("weak-3-coloring", 2),
+    ("weak-3-coloring", 3), ("weak-3-coloring", 4),
+}
+
+
+def _catalog_rows():
+    rows = []
+    for name in sorted(catalog()):
+        for delta in (2, 3, 4):
+            try:
+                get_problem(name, delta)
+            except ValueError:
+                continue  # e.g. 3-edge-coloring needs delta <= 3
+            marks = [pytest.mark.slow] if (name, delta) in _SLOW_TRIP_ROWS else []
+            rows.append(pytest.param(name, delta, marks=marks, id=f"{name}-{delta}"))
+    return rows
+
+
+def _shuffled_twin(problem, seed):
+    """``problem`` with its labels renamed by a seeded random permutation."""
+    labels = sorted(problem.labels)
+    images = list(range(len(labels)))
+    random.Random(seed).shuffle(images)
+    mapping = {label: f"q{image}" for label, image in zip(labels, images)}
+    return problem.renamed(mapping, name=f"{problem.name}~{seed}")
+
+
+def _trip_of(engine, problem):
+    """The limit error ending ``problem``'s pipeline, or None if it never trips."""
+    current = problem
+    for _ in range(TRIP_STEPS):
+        try:
+            current = engine.speedup(current).full
+        except EngineLimitError as error:
+            return error
+    return None
+
+
+def _trip_dict(error):
+    return None if error is None else error.to_dict()
+
+
+@pytest.fixture()
+def derivations(monkeypatch):
+    """The problems the engine actually derives, in call order."""
+    calls = []
+    real_compute = engine_module.compute_speedup
+
+    def counting_compute(problem, **kwargs):
+        calls.append(problem)
+        return real_compute(problem, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compute_speedup", counting_compute)
+    return calls
+
+
+@pytest.mark.parametrize(("name", "delta"), _catalog_rows())
+def test_limit_trip_replay_is_renaming_invariant(name, delta, derivations):
+    # Replaying a trip to a renamed twin is only sound if the trip itself
+    # (message, limit_name, limit, observed) does not depend on label
+    # names or their order, on either kernel tier -- the cache keys trips
+    # on the problem up to renaming and the limits, not on the kernel.
+    problem = get_problem(name, delta)
+    twins = [_shuffled_twin(problem, seed) for seed in range(3)]
+    expected = None
+    for kernel in ("mask", "vector"):
+        uncached = Engine(EngineConfig(cache=False, kernel=kernel, **TWIN_LIMITS))
+        fresh = [_trip_dict(_trip_of(uncached, twin)) for twin in twins]
+        if expected is None:
+            expected = fresh[0]
+        assert fresh == [expected] * 3, kernel
+
+        engine = Engine(EngineConfig(kernel=kernel, **TWIN_LIMITS))
+        del derivations[:]
+        leader = _trip_dict(_trip_of(engine, twins[0]))
+        led = len(derivations)
+        replayed = [_trip_dict(_trip_of(engine, twin)) for twin in twins[1:]]
+        assert [leader, *replayed] == [expected] * 3, kernel
+        # Where the twins share a key (everything but the exact fallback
+        # keys of very symmetric alphabets), the later twins derive
+        # nothing: every step hits or replays.
+        if len({canonical_hash(twin) for twin in twins}) == 1:
+            assert len(derivations) == led, kernel
+
+
+def test_limit_trip_replays_to_renamed_twin(mis_d3, derivations):
+    engine = Engine(EngineConfig(max_derived_labels=4))
+    with pytest.raises(EngineLimitError) as first:
+        engine.speedup(mis_d3)
+    with pytest.raises(EngineLimitError) as replay:
+        engine.speedup(_shuffled_twin(mis_d3, 7))
+    assert replay.value is not first.value
+    assert replay.value.to_dict() == first.value.to_dict()
+    assert len(derivations) == 1
+    # A replay is a hit, so hits + misses still counts the requests.
+    assert engine.cache_stats() == {"hits": 1, "misses": 1, "entries": 0, "store_failures": 0}
+
+
+def test_limit_trip_keyed_by_limits(mis_d3, derivations):
+    small = Engine(EngineConfig(max_derived_labels=4))
+    with pytest.raises(EngineLimitError):
+        small.speedup(mis_d3)
+    # Same shared cache, same limits: replayed, not derived.
+    with pytest.raises(EngineLimitError):
+        small.speedup(_shuffled_twin(mis_d3, 1))
+    assert len(derivations) == 1
+    # Another limit value that also trips is derived once, then replayed.
+    tighter = small.with_config(max_derived_labels=3)
+    for seed in (4, 5):
+        with pytest.raises(EngineLimitError) as excinfo:
+            tighter.speedup(_shuffled_twin(mis_d3, seed))
+        assert excinfo.value.limit == 3
+    assert len(derivations) == 2
+    # Larger limits on the shared cache: derived, not replayed.
+    larger = small.with_config(max_derived_labels=2000)
+    assert larger.cache is small.cache
+    result = larger.speedup(_shuffled_twin(mis_d3, 2))
+    assert len(derivations) == 3
+    # A stored result wins over the trip, as it did before trips were
+    # memoised: the small engine now hits the larger one's derivation.
+    twin = _shuffled_twin(mis_d3, 3)
+    hit = small.speedup(twin)
+    assert hit.original == twin
+    assert canonical_hash(hit.full) == canonical_hash(result.full)
+    assert len(derivations) == 3
+
+
+def test_clear_cache_drops_limit_trips(mis_d3, derivations):
+    engine = Engine(EngineConfig(max_derived_labels=4))
+    for _ in range(2):
+        with pytest.raises(EngineLimitError):
+            engine.speedup(mis_d3)
+        engine.clear_cache()
+    assert len(derivations) == 2
+
+
+def test_uncached_engine_never_replays_limit_trips(mis_d3, derivations):
+    engine = Engine(EngineConfig(cache=False, max_derived_labels=4))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(EngineLimitError) as excinfo:
+            engine.speedup(mis_d3)
+        errors.append(excinfo.value.to_dict())
+    assert len(derivations) == 2
+    assert errors[0] == errors[1]
+
+
+def test_limit_trip_table_is_lru_bounded(mis_d3, sc3, derivations):
+    engine = Engine(EngineConfig(cache_size=1, max_derived_labels=1))
+    for problem in (mis_d3, sc3, mis_d3):
+        with pytest.raises(EngineLimitError):
+            engine.speedup(problem)
+    # sc3's trip evicted mis_d3's, so mis_d3 was derived twice.
+    assert len(derivations) == 3
+
+
+def test_thread_run_many_derives_a_tripping_step_once(derivations):
+    # Three renamed twins of weak-2-coloring at delta 3 trip
+    # max_candidate_configs at step 2 under the twin-batch limits.  The
+    # twins race on the thread backend; the single-flight leader derives
+    # and records the trip, everyone else replays it.
+    problem = get_problem("weak-2-coloring", 3)
+    twins = [_shuffled_twin(problem, seed) for seed in range(3)]
+    runs = {}
+    for backend in ("serial", "thread"):
+        del derivations[:]
+        engine = Engine(EngineConfig(executor=backend, max_workers=3, **TWIN_LIMITS))
+        results = engine.run_many(twins, max_steps=3)
+        assert all(result.stopped_by_limit for result in results)
+        # One derivation per step: step 1's twins coalesce or hit, and
+        # step 2 trips once.
+        assert len(derivations) == 2, backend
+        stats = engine.last_batch_stats()
+        runs[backend] = ([result.to_dict() for result in results], stats)
+    serial_results, serial_stats = runs["serial"]
+    thread_results, thread_stats = runs["thread"]
+    assert thread_results == serial_results
+    assert (thread_stats.cache_hits, thread_stats.cache_misses) == (
+        serial_stats.cache_hits,
+        serial_stats.cache_misses,
+    ) == (4, 2)
+    # Coalescing is timing-dependent on threads (a waiter is also counted
+    # as a hit once it wakes); the serial loop never coalesces.
+    assert serial_stats.coalesced == 0
+    assert 0 <= thread_stats.coalesced <= thread_stats.cache_hits
 
 
 # -- batch fan-out ------------------------------------------------------------

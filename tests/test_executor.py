@@ -11,6 +11,7 @@ prove real pickle round-trips through real worker processes.
 
 import os
 import pickle
+import sys
 import threading
 
 import pytest
@@ -187,23 +188,11 @@ def test_sixteen_simultaneous_renamed_twins_derive_once(sc3, monkeypatch):
         assert result.original == twin
 
 
-def test_failed_leader_wakes_waiters_who_inherit(sc3, monkeypatch):
-    """abandon(): a failing derivation must not deadlock coalesced waiters."""
-    import repro.engine.engine as engine_module
+def _race_twins(engine, sc3, error_type):
+    """Four renamed twins of ``sc3`` request a speedup at once.
 
-    calls = []
-    call_lock = threading.Lock()
-
-    def failing_compute(problem, **kwargs):
-        with call_lock:
-            calls.append(problem.name)
-        raise EngineLimitError(
-            "boom", limit_name="max_derived_labels", limit=1, observed=2
-        )
-
-    monkeypatch.setattr(engine_module, "compute_speedup", failing_compute)
-
-    engine = Engine()
+    Returns the ``to_dict()`` (or message) of each caught ``error_type``.
+    """
     barrier = threading.Barrier(4)
     outcomes = []
     outcome_lock = threading.Lock()
@@ -212,20 +201,79 @@ def test_failed_leader_wakes_waiters_who_inherit(sc3, monkeypatch):
         barrier.wait()
         try:
             engine.speedup(problem)
-        except EngineLimitError as exc:
+        except error_type as exc:
+            outcome = exc.to_dict() if isinstance(exc, EngineLimitError) else str(exc)
             with outcome_lock:
-                outcomes.append(exc.limit_name)
+                outcomes.append(outcome)
 
     twins = [_renamed(sc3, f"f{i}x") for i in range(4)]
     threads = [threading.Thread(target=request, args=(t,)) for t in twins]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the cache's check-then-act steps
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads), "deadlocked waiters"
-    assert outcomes == ["max_derived_labels"] * 4
-    assert len(calls) >= 1  # at least the leader tried (waiters inherit)
+    return outcomes
+
+
+def test_crashed_leader_wakes_waiters_who_inherit(sc3, monkeypatch):
+    """abandon(): a crashing derivation must not deadlock coalesced waiters."""
+    import repro.engine.engine as engine_module
+
+    calls = []
+    call_lock = threading.Lock()
+
+    def crashing_compute(problem, **kwargs):
+        with call_lock:
+            calls.append(problem.name)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine_module, "compute_speedup", crashing_compute)
+
+    engine = Engine()
+    outcomes = _race_twins(engine, sc3, RuntimeError)
+    assert outcomes == ["boom"] * 4
+    # A crash is not memoised: every caller led (or inherited) and derived.
+    assert len(calls) == 4
     # The flight table must be empty: the next request is a fresh leader.
+    assert engine.cache._inflight == {}
+
+
+def test_tripped_leader_wakes_waiters_who_replay(sc3, monkeypatch):
+    """store_trip(): waiters replay the leader's limit trip, never re-derive."""
+    import repro.engine.engine as engine_module
+
+    calls = []
+    call_lock = threading.Lock()
+
+    def tripping_compute(problem, **kwargs):
+        with call_lock:
+            calls.append(problem.name)
+        raise EngineLimitError(
+            "boom", limit_name="max_derived_labels", limit=1, observed=2
+        )
+
+    monkeypatch.setattr(engine_module, "compute_speedup", tripping_compute)
+
+    engine = Engine()
+    outcomes = _race_twins(engine, sc3, EngineLimitError)
+    assert outcomes == [
+        {
+            "error": "engine_limit",
+            "message": "boom",
+            "limit_name": "max_derived_labels",
+            "limit": 1,
+            "observed": 2,
+        }
+    ] * 4
+    assert len(calls) == 1  # only the leader derived
+    stats = engine.cache_stats()
+    assert (stats["hits"], stats["misses"]) == (3, 1)
     assert engine.cache._inflight == {}
 
 
