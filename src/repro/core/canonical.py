@@ -33,6 +33,11 @@ integer arrays.  Signatures and encodings contain only class ids, counts and
 indices -- never label names -- so the computed keys are byte-identical to
 the legacy string path's (asserted by the differential tests): existing
 on-disk caches stay valid.
+
+The form is computed once per problem object and kept in its ``__dict__``
+like the interned view: derived state that is never pickled, needs no lock
+(racing first calls compute the same value) and survives name-only copies
+(:meth:`~repro.core.problem.Problem.named`).
 """
 
 from __future__ import annotations
@@ -171,11 +176,20 @@ def _digest(parts: tuple[object, ...]) -> str:
 
 
 def canonical_form(problem: Problem) -> CanonicalForm:
-    """Compute the renaming-invariant canonical form of a problem.
+    """The renaming-invariant canonical form of a problem (memoised).
 
     The cosmetic ``name`` field is deliberately excluded: two copies of the
     same structure under different display names are the same content.
     """
+    form: CanonicalForm | None = problem.__dict__.get("_canonical")
+    if form is None:
+        form = _compute_form(problem)
+        problem.__dict__["_canonical"] = form
+    return form
+
+
+def _compute_form(problem: Problem) -> CanonicalForm:
+    """Compute the canonical form from scratch (see :func:`canonical_form`)."""
     interned = intern(problem)
     names = interned.alphabet.names
     incidence = _Incidence(problem)

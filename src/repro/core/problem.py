@@ -202,8 +202,12 @@ class Problem:
 
         Removing a label invalidates configurations that mention it, which can
         make further labels unusable, so the pruning iterates to a fixpoint.
-        The resulting problem has the same solutions as the original.
+        The resulting problem has the same solutions as the original.  When
+        nothing drops it is ``self`` (or :meth:`named` under a new name), so
+        the memoised canonical form carries over.
         """
+        if self.usable_labels == self.labels:
+            return self if name in (None, self.name) else self.named(name)
         labels = set(self.labels)
         edges = set(self.edge_constraint)
         nodes = set(self.node_constraint)
@@ -223,6 +227,16 @@ class Problem:
             edge_constraint=frozenset(edges),
             node_constraint=frozenset(nodes),
         )
+
+    def named(self, name: str) -> "Problem":
+        """A copy under another name; keeps the (name-blind) canonical form."""
+        copy = Problem._from_canonical(
+            name, self.delta, self.labels, self.edge_constraint, self.node_constraint
+        )
+        form = self.__dict__.get("_canonical")
+        if form is not None:
+            copy.__dict__["_canonical"] = form
+        return copy
 
     def renamed(
         self, mapping: Mapping[Label, Label], name: str | None = None

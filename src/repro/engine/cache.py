@@ -179,7 +179,8 @@ def _translate(
         label: frozenset(half_rename[h] for h in members)
         for label, members in stored.full_meaning.items()
     }
-    full = dataclasses.replace(stored.full, name=f"{problem.name}+1")
+    # Keeps the stored full's canonical form: the next step does not rehash.
+    full = stored.full.named(f"{problem.name}+1")
     return SpeedupResult(
         original=problem,
         half=half,

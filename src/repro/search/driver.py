@@ -67,10 +67,10 @@ KIND_CHAIN = "chain"
 KIND_FIXED_POINT = "fixed-point"
 
 # Above this description size, every surviving move still costs a compressed
-# canonical hash plus a 0-round decision downstream in this driver; on huge
-# derived problems those dominate the wall clock, and the beam keeps only
-# ``beam_width`` states anyway, so the per-state move budget shrinks to just
-# past the beam width instead of the configured cap.
+# canonical hash (move generation skips hashing such targets) plus a 0-round
+# decision; on huge derived problems those dominate the wall clock, and the
+# beam keeps only ``beam_width`` states anyway, so the per-state move budget
+# shrinks to just past the beam width instead of the configured cap.
 _LARGE_STATE_SIZE = 100_000
 
 
@@ -212,7 +212,8 @@ def execute_expand_task(engine: Engine, task: ExpandTask) -> ExpandPayload:
     def evaluate(target: Problem, move: RelaxationMove | None) -> ExpandOption:
         # 0-round solvability is invariant under compression (every witness
         # uses only usable labels), so the verdict runs on the compressed
-        # form whose canonical hash doubles as the driver's dedup key.
+        # form whose canonical hash doubles as the driver's dedup key (when
+        # nothing drops it is the target, whose hash is already memoised).
         compressed = target.compressed()
         key = canonical_hash(compressed)
         if memo is None:

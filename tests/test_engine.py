@@ -1,16 +1,22 @@
 """Tests for the unified Engine API: config, cache, batch, streaming."""
 
+import json
 import random
 
 import pytest
 
+import repro.core.canonical as canonical_module
+import repro.engine.cache as cache_module
 import repro.engine.engine as engine_module
 from repro.core.isomorphism import are_isomorphic
 from repro.core.speedup import EngineLimitError, compute_speedup
 from repro.engine import Engine, EngineConfig, SpeedupCache, canonical_hash
 from repro.problems.catalog import catalog, get_problem
+from repro.problems.handshake import indegree_handshake
 from repro.problems.misc import mis
-from repro.problems.sinkless import sinkless_coloring
+from repro.problems.sinkless import sinkless_coloring, sinkless_orientation
+from repro.search import search_lower_bound
+from repro.search.classify import classify
 
 
 @pytest.fixture()
@@ -597,3 +603,59 @@ def test_engine_half_step_respects_limits(sc3):
     assert excinfo.value.limit_name == "max_candidate_configs"
     assert excinfo.value.observed > 1
     assert Engine().half_step(sc3).problem.labels
+
+
+# -- canonical-form memo --------------------------------------------------------
+
+_compute_form = canonical_module._compute_form
+
+
+@pytest.fixture()
+def form_computations(monkeypatch):
+    """How often the canonical form of each problem instance is computed."""
+    counts = {}
+    alive = []  # pins every counted instance, so no id is reused
+
+    def counting(problem):
+        alive.append(problem)
+        counts[id(problem)] = counts.get(id(problem), 0) + 1
+        return _compute_form(problem)
+
+    monkeypatch.setattr(canonical_module, "_compute_form", counting)
+    return counts
+
+
+def _search_and_classify_json():
+    lower = search_lower_bound(sinkless_orientation(3), engine=Engine(), max_steps=2)
+    bracket = classify(indegree_handshake(2), engine=Engine())
+    return [json.dumps(result.to_dict(), sort_keys=True) for result in (lower, bracket)]
+
+
+def test_search_and_classify_compute_each_form_once(form_computations, monkeypatch):
+    memoised = _search_and_classify_json()
+    assert form_computations and max(form_computations.values()) == 1
+    computed = sum(form_computations.values())
+
+    # Without the memo every call recomputes: the same JSON, more work.
+    form_computations.clear()
+    uncached = canonical_module._compute_form
+    monkeypatch.setattr(canonical_module, "canonical_form", uncached)
+    monkeypatch.setattr(cache_module, "canonical_form", uncached)
+    assert _search_and_classify_json() == memoised
+    assert sum(form_computations.values()) > computed
+
+
+def test_translated_hit_keeps_the_stored_full_form(mis_d3, form_computations):
+    engine = Engine()
+    twin_a = mis_d3
+    twin_b = _shuffled_twin(twin_a, 1)
+    result_a = engine.speedup(twin_a)
+    engine.speedup(result_a.full)  # twin_a's next step hashes the stored full
+    result_b = engine.speedup(twin_b)
+    assert engine.cache_stats()["hits"] == 1
+    assert result_b.full is not result_a.full
+    assert result_b.full.name == f"{twin_b.name}+1"
+    engine.speedup(result_b.full)
+    assert engine.cache_stats()["hits"] == 2
+    assert id(result_b.full) not in form_computations
+    assert canonical_hash(result_b.full) == canonical_hash(result_a.full)

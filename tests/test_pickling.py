@@ -26,6 +26,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.alphabet import InternedProblem, intern
+from repro.core.canonical import canonical_form
 from repro.core.problem import Problem
 from repro.core.speedup import speedup
 from repro.engine import Engine
@@ -44,12 +45,13 @@ def _roundtrip(obj: object) -> object:
 def test_problem_roundtrip_is_equal_and_lean() -> None:
     problem = sinkless_orientation(3)
     intern(problem)  # populate the memoised view
+    canonical_form(problem)  # and the memoised canonical form
     _ = problem.usable_labels  # populate a cached_property
     blob = pickle.dumps(problem)
     clone = pickle.loads(blob)
     assert clone == problem
     # __getstate__ ships only the declared dataclass fields: no interned
-    # view, no cached presentation strings.
+    # view, no canonical form, no cached presentation strings.
     state = problem.__getstate__()
     assert set(state) == {f.name for f in fields(Problem)}
 
@@ -58,9 +60,10 @@ def test_problem_pickle_excludes_interned_cache() -> None:
     problem = sinkless_coloring(3)
     cold = len(pickle.dumps(problem))
     intern(problem)
+    canonical_form(problem)
     _ = problem.description_size
     warm = len(pickle.dumps(problem))
-    assert warm == cold, "interned view leaked into the pickle"
+    assert warm == cold, "interned view or canonical form leaked into the pickle"
 
 
 def test_interned_problem_roundtrip() -> None:
